@@ -1,16 +1,23 @@
 //! Times the profile→plan→compensate pipeline: legacy float serial
 //! baseline and scalar-LUT reference vs. the dispatched SIMD pipeline
 //! at several worker counts plus the batched multi-clip scheduler.
-//! Pass `--test` for a sub-second smoke run (used by CI); in smoke mode
-//! the best SIMD row must clear a 2x speedup floor over the scalar LUT
-//! pipeline. Pass `--out PATH` to persist the table as JSON (the
-//! committed `BENCH_pipeline.json` trajectory).
+//! Also times BT.601 colour conversion in both directions, the scalar
+//! reference against the active kernel tier. Pass `--test` for a
+//! sub-second smoke run (used by CI); in smoke mode the best SIMD row
+//! must clear a 2x speedup floor over the scalar LUT pipeline, and every
+//! colour row a 3x floor over the scalar reference. Pass `--out PATH` to
+//! persist the table, with its host fingerprint, as JSON (the committed
+//! `BENCH_pipeline.json` trajectory).
 use annolight_bench::figures::pipeline_throughput;
 use annolight_support::json::to_string_pretty;
 
 /// Issue-10 floor: the SIMD/batched pipeline must be at least this much
 /// faster than the scalar fixed-point LUT pipeline on wide cores.
 const SPEEDUP_FLOOR_VS_LUT: f64 = 2.0;
+
+/// The vector colour kernels must be at least this much faster than the
+/// per-pixel scalar reference.
+const COLOUR_SPEEDUP_FLOOR: f64 = 3.0;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -52,8 +59,25 @@ fn main() {
             best.label,
             best.speedup_vs_lut
         );
+        // A host without a vector tier (or a run pinned to `scalar`)
+        // times the reference against itself; there is no floor to hold.
+        if t.tier != "scalar" {
+            for r in &t.colour {
+                assert!(
+                    r.speedup >= COLOUR_SPEEDUP_FLOOR,
+                    "{} at {}x{} is {:.2}x vs the scalar reference, below the \
+                     {COLOUR_SPEEDUP_FLOOR}x floor",
+                    r.direction,
+                    r.width,
+                    r.height,
+                    r.speedup
+                );
+            }
+        }
+        let slowest = t.colour.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
         println!(
-            "\npipeline_throughput --test: ok ({} rows, best `{}` {:.2}x vs LUT, floor {SPEEDUP_FLOOR_VS_LUT}x)",
+            "\npipeline_throughput --test: ok ({} rows, best `{}` {:.2}x vs LUT, floor {SPEEDUP_FLOOR_VS_LUT}x; \
+             slowest colour row {slowest:.2}x vs scalar, floor {COLOUR_SPEEDUP_FLOOR}x)",
             t.rows.len(),
             best.label,
             best.speedup_vs_lut

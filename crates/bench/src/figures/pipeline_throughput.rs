@@ -31,6 +31,7 @@
 //!   while `vs. LUT` is relative to the scalar LUT pipeline, so the
 //!   SIMD win is visible separately from the fixed-point win.
 
+use crate::host::HostFingerprint;
 use crate::table::Table;
 use annolight_core::digest::Digester;
 use annolight_core::parallel::{self, ParallelConfig};
@@ -42,6 +43,7 @@ use annolight_imgproc::simd;
 use annolight_imgproc::{contrast_enhance_float, CompensationLut, Frame, KernelTier};
 use annolight_support::json::to_string;
 use annolight_video::ClipLibrary;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Worker counts exercised by the dispatched SIMD rows (0 = inline
@@ -78,9 +80,35 @@ pub struct ThroughputRow {
 
 annolight_support::impl_json!(struct ThroughputRow { label, workers, elapsed_ms, frames_per_sec, speedup, speedup_vs_lut });
 
+/// Geometries of the colour-conversion rows: the library's native
+/// 128×96 and VGA.
+pub const COLOUR_GEOMETRIES: [(u32, u32); 2] = [(128, 96), (640, 480)];
+
+/// One timed colour-conversion kernel: the scalar reference against the
+/// active kernel tier on the same frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColourRow {
+    /// `rgb->yuv420` or `yuv420->rgb`.
+    pub direction: String,
+    /// Frame width in pixels.
+    pub width: u32,
+    /// Frame height in pixels.
+    pub height: u32,
+    /// Best-of-`reps` time per frame of the scalar reference, µs.
+    pub scalar_us_per_frame: f64,
+    /// Best-of-`reps` time per frame at the active tier, µs.
+    pub tier_us_per_frame: f64,
+    /// `scalar_us_per_frame / tier_us_per_frame`.
+    pub speedup: f64,
+}
+
+annolight_support::impl_json!(struct ColourRow { direction, width, height, scalar_us_per_frame, tier_us_per_frame, speedup });
+
 /// The throughput table for one clip.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineThroughput {
+    /// Where the table was measured.
+    pub host: HostFingerprint,
     /// Clip the pipeline ran on.
     pub clip: String,
     /// Frames processed per timed pass.
@@ -91,9 +119,12 @@ pub struct PipelineThroughput {
     pub tier: String,
     /// Baseline + measured rows, in run order.
     pub rows: Vec<ThroughputRow>,
+    /// BT.601 colour conversion, both directions, at each of
+    /// [`COLOUR_GEOMETRIES`].
+    pub colour: Vec<ColourRow>,
 }
 
-annolight_support::impl_json!(struct PipelineThroughput { clip, frames, reps, tier, rows });
+annolight_support::impl_json!(struct PipelineThroughput { host, clip, frames, reps, tier, rows, colour });
 
 /// The deterministic projection of the pipeline table: every
 /// configuration's output digest collapsed into one value (they are all
@@ -232,6 +263,57 @@ fn batched_pass(frames: &[Frame], fps: f64, device: &DeviceProfile, quality: Qua
     start.elapsed().as_secs_f64() * 1e3
 }
 
+/// Best-of-`reps` time per frame, in µs, of `frames` back-to-back calls
+/// of `f`.
+fn us_per_frame(reps: u32, frames: u32, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..frames {
+                f();
+            }
+            start.elapsed().as_secs_f64() * 1e6 / f64::from(frames)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Times both colour-conversion directions, scalar reference against
+/// `tier`, at every [`COLOUR_GEOMETRIES`] entry, best of at least seven
+/// repetitions. Each repetition converts at least `pixels_per_rep`
+/// pixels and two frames.
+fn colour_rows(tier: KernelTier, reps: u32, pixels_per_rep: u32) -> Vec<ColourRow> {
+    let reps = reps.max(7);
+    let mut rows = Vec::new();
+    for (w, h) in COLOUR_GEOMETRIES {
+        let frames = (pixels_per_rep / (w * h)).max(2);
+        let rgb = Frame::from_fn(w, h, |x, y| {
+            let v = x.wrapping_mul(7).wrapping_add(y.wrapping_mul(13));
+            [(v % 251) as u8, (v.wrapping_mul(3) % 241) as u8, (v.wrapping_mul(5) % 256) as u8]
+        });
+        let mut yuv = rgb.to_yuv420().expect("even geometry");
+        let mut back = rgb.clone();
+        let mut time = |direction: &str, run: &mut dyn FnMut(KernelTier)| {
+            let scalar_us = us_per_frame(reps, frames, || run(KernelTier::Scalar));
+            let tier_us = us_per_frame(reps, frames, || run(tier));
+            rows.push(ColourRow {
+                direction: direction.to_owned(),
+                width: w,
+                height: h,
+                scalar_us_per_frame: scalar_us,
+                tier_us_per_frame: tier_us,
+                speedup: scalar_us / tier_us,
+            });
+        };
+        time("rgb->yuv420", &mut |t| {
+            simd::rgb_to_yuv420(black_box(&rgb), &mut yuv, t).expect("geometry matches");
+        });
+        time("yuv420->rgb", &mut |t| {
+            simd::yuv420_to_rgb(black_box(&yuv), &mut back, t).expect("geometry matches");
+        });
+    }
+    rows
+}
+
 /// Times the pipeline on a `preview_s`-second prefix of the *themovie*
 /// profile clip (the paper's largest), best-of-`reps` per row.
 pub fn run(preview_s: f64, reps: u32) -> PipelineThroughput {
@@ -280,12 +362,17 @@ pub fn run(preview_s: f64, reps: u32) -> PipelineThroughput {
             ms,
         );
     }
+    // The colour rows convert about as many pixels per timing as the
+    // pipeline rows profile and compensate.
+    let colour = colour_rows(tier, reps, n * 128 * 96);
     PipelineThroughput {
+        host: HostFingerprint::read(),
         clip: clip.name().to_owned(),
         frames: n,
         reps,
         tier: tier.name().to_owned(),
         rows,
+        colour,
     }
 }
 
@@ -458,6 +545,22 @@ pub fn render(t: &PipelineThroughput) -> String {
          (tests/parallel_identity.rs, tests/pipeline_identity.rs); rows \
          differ only in wall-clock.\n",
     );
+    out.push_str(&format!("\nBT.601 colour conversion — scalar reference vs. {} kernels\n\n", t.tier));
+    let mut tbl = Table::new(["direction", "geometry", "scalar (us/frame)", "tier (us/frame)", "speedup"]);
+    for r in &t.colour {
+        tbl.row([
+            r.direction.clone(),
+            format!("{}x{}", r.width, r.height),
+            format!("{:.1}", r.scalar_us_per_frame),
+            format!("{:.1}", r.tier_us_per_frame),
+            format!("{:.2}x", r.speedup),
+        ]);
+    }
+    out.push_str(&tbl.render());
+    out.push_str(&format!(
+        "\nhost: {} ({} logical cores), {}, commit {}\n",
+        t.host.cpu, t.host.logical_cores, t.host.rustc, t.host.commit
+    ));
     out
 }
 
@@ -479,8 +582,13 @@ mod tests {
             assert!(r.elapsed_ms > 0.0, "{}: non-positive elapsed", r.label);
             assert!(r.frames_per_sec > 0.0, "{}: non-positive fps", r.label);
         }
+        assert_eq!(t.colour.len(), 2 * COLOUR_GEOMETRIES.len());
+        for r in &t.colour {
+            assert!(r.scalar_us_per_frame > 0.0 && r.tier_us_per_frame > 0.0, "{}", r.direction);
+        }
         let rendered = render(&t);
         assert!(rendered.contains("speedup"));
+        assert!(rendered.contains("yuv420->rgb"));
         assert!(rendered.contains("legacy float kernel"));
         assert!(rendered.contains("batched SIMD pipeline"));
     }

@@ -96,7 +96,7 @@ impl BenchReactor {
 /// bursty half also exercises Gilbert–Elliott loss trains).
 fn fleet_faults(seed: u64, i: usize) -> FaultConfig {
     let s = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    if i % 2 == 0 {
+    if i.is_multiple_of(2) {
         FaultConfig::lossy(s, 0.12)
     } else {
         FaultConfig::bursty(s)

@@ -26,4 +26,5 @@
 #![warn(missing_docs)]
 
 pub mod figures;
+pub mod host;
 pub mod table;

@@ -21,6 +21,10 @@
 //!   once per search (the naive refinement re-scored the reigning best 8
 //!   times per descent step).
 
+// The half-pel rounding average `(a + b + 1) / 2` compiles to `pavgb`;
+// the `div_ceil(2)` form clippy suggests does not.
+#![allow(clippy::manual_div_ceil)]
+
 /// A full-pel motion vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct MotionVector {

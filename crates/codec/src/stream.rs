@@ -592,7 +592,7 @@ impl Decoder {
     ///
     /// Returns [`CodecError::Malformed`] for a corrupt container.
     pub fn new(stream: &EncodedStream) -> Result<Self, CodecError> {
-        Self::from_bytes(stream.as_bytes())
+        Self::parse(stream.bytes.clone())
     }
 
     /// Parses a container from raw bytes.
@@ -601,10 +601,20 @@ impl Decoder {
     ///
     /// Returns [`CodecError::Malformed`] for a corrupt container.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        Self::parse(Bytes::copy_from_slice(bytes))
+    }
+
+    /// Parses the container in `bytes`. Every payload is a window onto
+    /// `bytes`' storage, so parsing makes a fixed number of allocations
+    /// whatever the picture count.
+    fn parse(stream: Bytes) -> Result<Self, CodecError> {
+        let bytes = stream.as_slice();
         let header = Header::parse(bytes)?;
         let mut pos = header.body_offset;
         let mut user_data = Vec::new();
-        let mut pictures = Vec::new();
+        // Every packet takes at least two bytes (kind and length), which
+        // bounds the capacity an untrusted header can ask for.
+        let mut pictures = Vec::with_capacity((header.frame_count as usize).min(bytes.len() / 2));
         while pos < bytes.len() {
             let kind = PacketKind::from_byte(bytes[pos])?;
             pos += 1;
@@ -624,11 +634,12 @@ impl Decoder {
                     return Err(CodecError::Malformed { reason: "packet length overflow".into() });
                 }
             }
-            let end = pos + len as usize;
-            if end > bytes.len() {
-                return Err(CodecError::Malformed { reason: "truncated packet payload".into() });
-            }
-            let payload = Bytes::copy_from_slice(&bytes[pos..end]);
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| CodecError::Malformed { reason: "truncated packet payload".into() })?;
+            let payload = stream.slice(pos..end);
             pos = end;
             match kind {
                 PacketKind::UserData => user_data.push(payload),
@@ -1108,6 +1119,18 @@ mod tests {
             qscale: QScale::new(4),
             target_bitrate_bps: None,
         }
+    }
+
+    #[test]
+    fn packet_length_past_the_address_space_is_malformed() {
+        let stream = encode(&frames(1, 32, 32), cfg(32, 32), &[]);
+        let mut bytes = stream.as_bytes()[..Header::LEN].to_vec();
+        // An intra packet whose varint length is u64::MAX: `pos + len`
+        // must not wrap around to a small in-range offset.
+        bytes.push(2);
+        bytes.extend_from_slice(&[0xFF; 9]);
+        bytes.push(0x01);
+        assert!(matches!(Decoder::from_bytes(&bytes), Err(CodecError::Malformed { .. })));
     }
 
     #[test]

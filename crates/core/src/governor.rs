@@ -670,7 +670,7 @@ mod tests {
         };
         let mut e2 = e.clone();
         e2.scene_j = 1.0 + 1e-12;
-        assert_ne!(trace_digest(&[e.clone()]), trace_digest(&[e2]));
-        assert_eq!(trace_digest(&[e.clone()]), trace_digest(&[e]));
+        assert_ne!(trace_digest(std::slice::from_ref(&e)), trace_digest(&[e2]));
+        assert_eq!(trace_digest(std::slice::from_ref(&e)), trace_digest(&[e]));
     }
 }

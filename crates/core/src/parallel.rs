@@ -289,7 +289,9 @@ pub fn compensate_frames_batched(
             })
             .collect();
     }
-    let queue: Mutex<VecDeque<(usize, usize, &AnnotationTrack, &mut [Frame])>> = {
+    // (result slot, first frame index, track, frames) per chunk.
+    type Chunk<'a> = (usize, usize, &'a AnnotationTrack, &'a mut [Frame]);
+    let queue: Mutex<VecDeque<Chunk<'_>>> = {
         let mut q = VecDeque::with_capacity(n_chunks);
         let mut slot = 0usize;
         for (frames, track) in jobs.iter_mut() {

@@ -58,12 +58,7 @@ impl Rgb8 {
     /// Converts to BT.601 YUV (full-range, i.e. Y ∈ [0, 255], U/V offset
     /// by 128).
     pub fn to_yuv(self) -> Yuv8 {
-        let r = f32::from(self.r);
-        let g = f32::from(self.g);
-        let b = f32::from(self.b);
-        let y = LUMA_R * r + LUMA_G * g + LUMA_B * b;
-        let u = 0.492 * (b - y) + 128.0;
-        let v = 0.877 * (r - y) + 128.0;
+        let [y, u, v] = yuv_f32(f32::from(self.r), f32::from(self.g), f32::from(self.b));
         Yuv8 {
             y: clamp_u8(y),
             u: clamp_u8(u),
@@ -131,18 +126,39 @@ impl Yuv8 {
     /// Converts back to RGB (inverse of [`Rgb8::to_yuv`], within
     /// quantisation error).
     pub fn to_rgb(self) -> Rgb8 {
-        let y = f32::from(self.y);
-        let u = f32::from(self.u) - 128.0;
-        let v = f32::from(self.v) - 128.0;
-        let r = y + v / 0.877;
-        let b = y + u / 0.492;
-        let g = (y - LUMA_R * r - LUMA_B * b) / LUMA_G;
+        let [r, g, b] = rgb_f32(f32::from(self.y), f32::from(self.u), f32::from(self.v));
         Rgb8 {
             r: clamp_u8(r),
             g: clamp_u8(g),
             b: clamp_u8(b),
         }
     }
+}
+
+/// BT.601 full-range `[Y, U, V]` of an RGB triple, before rounding.
+///
+/// [`Rgb8::to_yuv`] and the vector kernels in [`crate::simd`] both
+/// evaluate exactly these binary32 operations in this order (Rust never
+/// fuses them into FMAs), so their unrounded values agree bit for bit.
+#[inline(always)]
+pub(crate) fn yuv_f32(r: f32, g: f32, b: f32) -> [f32; 3] {
+    let y = LUMA_R * r + LUMA_G * g + LUMA_B * b;
+    let u = 0.492 * (b - y) + 128.0;
+    let v = 0.877 * (r - y) + 128.0;
+    [y, u, v]
+}
+
+/// RGB `[R, G, B]` of a full-range BT.601 YUV triple, before rounding —
+/// the inverse formulas shared by [`Yuv8::to_rgb`] and the vector
+/// kernels, like [`yuv_f32`].
+#[inline(always)]
+pub(crate) fn rgb_f32(y: f32, u: f32, v: f32) -> [f32; 3] {
+    let u = u - 128.0;
+    let v = v - 128.0;
+    let r = y + v / 0.877;
+    let b = y + u / 0.492;
+    let g = (y - LUMA_R * r - LUMA_B * b) / LUMA_G;
+    [r, g, b]
 }
 
 // Fixed-point luminance weights, scaled by 2^16 and rounded. The SIMD

@@ -38,7 +38,8 @@ impl Frame {
     ///
     /// Panics if either dimension is zero.
     pub fn new(width: u32, height: u32) -> Self {
-        Self::filled(width, height, Rgb8::default())
+        assert!(width > 0 && height > 0, "frame dimensions must be non-zero");
+        Self { width, height, data: vec![0; width as usize * height as usize * 3] }
     }
 
     /// Creates a frame filled with `pixel`.
@@ -117,6 +118,19 @@ impl Frame {
     /// Consumes the frame and returns the underlying buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.data
+    }
+
+    /// Takes the geometry `width × height` after checking that the
+    /// buffer holds exactly that many pixels — the shared guard of the
+    /// write-into conversions.
+    pub(crate) fn adopt_geometry(&mut self, width: u32, height: u32) -> Result<(), ImageError> {
+        let expected = width as usize * height as usize * 3;
+        if self.data.len() != expected {
+            return Err(ImageError::BufferSizeMismatch { expected, actual: self.data.len() });
+        }
+        self.width = width;
+        self.height = height;
+        Ok(())
     }
 
     fn offset(&self, x: u32, y: u32) -> usize {
@@ -399,53 +413,32 @@ impl Yuv420Frame {
     /// odd and [`ImageError::BufferSizeMismatch`] when `out`'s plane
     /// sizes don't match the RGB frame's geometry.
     pub fn from_rgb_into(frame: &Frame, out: &mut Self) -> Result<(), ImageError> {
-        let (w, h) = (frame.width(), frame.height());
-        if !w.is_multiple_of(2) || !h.is_multiple_of(2) {
-            return Err(ImageError::OddDimensions { width: w, height: h });
+        crate::simd::rgb_to_yuv420(frame, out, crate::simd::kernel_tier())
+    }
+
+    /// Takes the geometry `width × height` after checking that it is
+    /// even and that every plane holds exactly that geometry's samples —
+    /// the shared guard of the write-into conversions.
+    pub(crate) fn adopt_geometry(&mut self, width: u32, height: u32) -> Result<(), ImageError> {
+        if !width.is_multiple_of(2) || !height.is_multiple_of(2) {
+            return Err(ImageError::OddDimensions { width, height });
         }
-        let luma = w as usize * h as usize;
-        if out.y.len() != luma {
-            return Err(ImageError::BufferSizeMismatch { expected: luma, actual: out.y.len() });
-        }
-        if out.u.len() != luma / 4 || out.v.len() != luma / 4 {
-            return Err(ImageError::BufferSizeMismatch { expected: luma / 4, actual: out.u.len() });
-        }
-        out.width = w;
-        out.height = h;
-        for y in 0..h {
-            for x in 0..w {
-                out.y[y as usize * w as usize + x as usize] = frame.pixel(x, y).to_yuv().y;
+        let luma = width as usize * height as usize;
+        for (plane, expected) in [(&self.y, luma), (&self.u, luma / 4), (&self.v, luma / 4)] {
+            if plane.len() != expected {
+                return Err(ImageError::BufferSizeMismatch { expected, actual: plane.len() });
             }
         }
-        let cw = (w / 2) as usize;
-        for cy in 0..(h / 2) {
-            for cx in 0..(w / 2) {
-                let mut su = 0u32;
-                let mut sv = 0u32;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let p = frame.pixel(cx * 2 + dx, cy * 2 + dy).to_yuv();
-                        su += u32::from(p.u);
-                        sv += u32::from(p.v);
-                    }
-                }
-                let o = cy as usize * cw + cx as usize;
-                out.u[o] = ((su + 2) / 4) as u8;
-                out.v[o] = ((sv + 2) / 4) as u8;
-            }
-        }
+        self.width = width;
+        self.height = height;
         Ok(())
     }
 
     /// Converts back to interleaved RGB (chroma upsampled by replication).
     pub fn to_rgb(&self) -> Frame {
-        let w = self.width;
-        let cw = (w / 2) as usize;
-        Frame::from_fn(self.width, self.height, |x, y| {
-            let yy = self.y[y as usize * w as usize + x as usize];
-            let co = (y / 2) as usize * cw + (x / 2) as usize;
-            crate::color::Yuv8::new(yy, self.u[co], self.v[co]).to_rgb().to_array()
-        })
+        let mut out = Frame::new(self.width, self.height);
+        self.to_rgb_into(&mut out).expect("buffer sized from this frame's geometry");
+        out
     }
 
     /// Converts back to interleaved RGB into an existing frame, reusing
@@ -456,27 +449,7 @@ impl Yuv420Frame {
     /// Returns [`ImageError::BufferSizeMismatch`] when `out`'s buffer
     /// size doesn't match this frame's geometry.
     pub fn to_rgb_into(&self, out: &mut Frame) -> Result<(), ImageError> {
-        let expected = self.width as usize * self.height as usize * 3;
-        if out.data.len() != expected {
-            return Err(ImageError::BufferSizeMismatch { expected, actual: out.data.len() });
-        }
-        out.width = self.width;
-        out.height = self.height;
-        let w = self.width as usize;
-        let cw = w / 2;
-        for y in 0..self.height as usize {
-            let row = &mut out.data[y * w * 3..(y + 1) * w * 3];
-            let yrow = &self.y[y * w..(y + 1) * w];
-            let crow = (y / 2) * cw;
-            for (x, px) in row.chunks_exact_mut(3).enumerate() {
-                let co = crow + x / 2;
-                let p = crate::color::Yuv8::new(yrow[x], self.u[co], self.v[co]).to_rgb();
-                px[0] = p.r;
-                px[1] = p.g;
-                px[2] = p.b;
-            }
-        }
-        Ok(())
+        crate::simd::yuv420_to_rgb(self, out, crate::simd::kernel_tier())
     }
 
     /// Copies another frame's planes into this one, reusing existing
@@ -626,6 +599,23 @@ mod tests {
     fn yuv420_rejects_odd_dims() {
         let f = Frame::new(3, 4);
         assert!(matches!(f.to_yuv420(), Err(ImageError::OddDimensions { .. })));
+    }
+
+    #[test]
+    fn from_rgb_into_reports_the_mismatched_plane() {
+        let f = Frame::new(4, 4);
+        let mut out = Yuv420Frame::new(4, 4).unwrap();
+        out.v.pop();
+        assert!(matches!(
+            Yuv420Frame::from_rgb_into(&f, &mut out),
+            Err(ImageError::BufferSizeMismatch { expected: 4, actual: 3 })
+        ));
+        let mut out = Yuv420Frame::new(4, 4).unwrap();
+        out.u.push(0);
+        assert!(matches!(
+            Yuv420Frame::from_rgb_into(&f, &mut out),
+            Err(ImageError::BufferSizeMismatch { expected: 4, actual: 5 })
+        ));
     }
 
     #[test]

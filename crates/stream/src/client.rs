@@ -14,6 +14,7 @@ use crate::faults::{
 use annolight_codec::{CodecError, Decoder, EncodedStream};
 use annolight_core::track::AnnotationTrack;
 use annolight_display::{BacklightController, BacklightLevel, ControllerConfig, DeviceProfile, SwitchStats};
+use annolight_imgproc::{Frame, Yuv420Frame};
 use annolight_power::{EnergyMeter, SystemPowerModel};
 use std::error::Error;
 use std::fmt;
@@ -229,7 +230,17 @@ impl PlaybackClient {
         let mut backlight_energy = 0.0f64;
         let mut level_sum = 0.0f64;
 
-        while dec.decode_next()?.is_some() {
+        // One decoded picture and one display framebuffer, recycled
+        // across frames: the display conversion runs every frame, but
+        // neither buffer is reallocated.
+        let (w, h) = dec.dimensions();
+        let mut picture = Yuv420Frame::new(w, h)
+            .map_err(|e| CodecError::Malformed { reason: e.to_string() })?;
+        let mut display = Frame::new(w, h);
+        while dec.decode_next_yuv_into(&mut picture)? {
+            picture
+                .to_rgb_into(&mut display)
+                .expect("the decoder writes pictures of the display's geometry");
             let now = f64::from(frames) * dt;
             let want = desired(frames, now, track.as_ref())?;
             let level = controller.request(now, want);

@@ -603,6 +603,10 @@ pub struct LossyEngine {
     seq: u32,
 }
 
+/// One copy of a packet as the receiver sees it: arrival time in
+/// seconds and the wire bytes.
+pub type Arrival = (f64, Vec<u8>);
+
 impl LossyEngine {
     /// Builds the packet plan for delivering `stream` over `link` with
     /// the faults in `cfg`.
@@ -672,7 +676,7 @@ impl LossyEngine {
     ///
     /// Returns a descriptive string when a picture packet exhausts even
     /// the reliable retry budget (only possible under certain loss).
-    pub fn pump(&mut self) -> Result<Option<Vec<(f64, Vec<u8>)>>, String> {
+    pub fn pump(&mut self) -> Result<Option<Vec<Arrival>>, String> {
         // Annotations ride ahead of the data (§3): all hints first.
         if self.next_delta < self.deltas.len() {
             let i = self.next_delta;

@@ -412,7 +412,7 @@ impl GovernorDriver {
         let governor =
             QualityGovernor::new(cfg.control.clone()).with_knob(prep.requested_knob);
         Self {
-            system: cfg.session.system.clone(),
+            system: cfg.session.system,
             governor,
             thermal_model: cfg.thermal,
             thermal: cfg.thermal.start(),

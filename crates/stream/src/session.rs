@@ -362,7 +362,7 @@ pub(crate) fn finish_faulty(
 ) -> Result<FaultySessionReport, SessionError> {
     let transfer_time = channel.transfer_time_s(total);
     let meter = EnergyMeter::new();
-    let mut client = PlaybackClient::new(device, system.clone());
+    let mut client = PlaybackClient::new(device, *system);
     if burst_prefetch && lossy.stream.frame_count() > 0 {
         let duration =
             f64::from(lossy.stream.frame_count()) / lossy.stream.fps().max(f64::EPSILON);
@@ -467,7 +467,7 @@ pub fn run_session_with_server(
         served.annotation_bytes,
         granted,
         hello.device,
-        options.system.clone(),
+        options.system,
         &options.channel,
         options.burst_prefetch,
     )

@@ -25,54 +25,75 @@ macro_rules! fmt_bytes_debug {
     };
 }
 
-/// An immutable, reference-counted byte string. Cloning is O(1).
+/// An immutable, reference-counted byte string. Cloning and
+/// [`Bytes::slice`] are O(1) and never allocate.
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<[u8]>,
+    /// The visible window `data[start..end]`.
+    start: usize,
+    end: usize,
 }
 
 impl Bytes {
     /// An empty buffer.
     #[must_use]
     pub fn new() -> Self {
-        Self { data: Arc::from(&[][..]) }
+        Self::default()
     }
 
     /// Copies a slice into a new buffer.
     #[must_use]
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Self { data: Arc::from(slice) }
+        Self { data: Arc::from(slice), start: 0, end: slice.len() }
+    }
+
+    /// A buffer sharing this one's storage that holds `self[range]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds or decreasing, as slicing
+    /// does.
+    #[must_use]
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "slice {range:?} out of bounds for {} bytes",
+            self.len()
+        );
+        Self { data: Arc::clone(&self.data), start: self.start + range.start, end: self.start + range.end }
     }
 
     /// The contents as a plain slice.
     #[must_use]
     pub fn as_slice(&self) -> &[u8] {
-        &self.data
+        &self.data[self.start..self.end]
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl Borrow<[u8]> for Bytes {
     fn borrow(&self) -> &[u8] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Self { data: Arc::from(v.into_boxed_slice()) }
+        let end = v.len();
+        Self { data: Arc::from(v.into_boxed_slice()), start: 0, end }
     }
 }
 
@@ -322,5 +343,21 @@ mod tests {
         assert_eq!(&c[..], &[2, 3]);
         assert_eq!(Vec::from(c), vec![2, 3]);
         assert_eq!(Bytes::new().len(), 0);
+    }
+
+    #[test]
+    fn slices_share_storage_and_nest() {
+        let b = Bytes::copy_from_slice(&[1, 2, 3, 4, 5]);
+        let s = b.slice(1..4);
+        assert_eq!(s, vec![2, 3, 4]);
+        assert!(std::ptr::eq(s.as_ptr(), b[1..].as_ptr()));
+        assert_eq!(s.slice(1..3), vec![3, 4]);
+        assert!(s.slice(3..3).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_end_panics() {
+        let _ = Bytes::copy_from_slice(&[1, 2]).slice(1..3);
     }
 }

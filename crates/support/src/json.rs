@@ -140,14 +140,6 @@ impl Json {
         Ok(v)
     }
 
-    /// Compact serialisation.
-    #[must_use]
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Pretty serialisation (two-space indent).
     #[must_use]
     pub fn pretty(&self) -> String {
@@ -214,10 +206,18 @@ impl Json {
     }
 }
 
+/// Compact serialisation; `json.to_string()` comes from here.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        f.write_str(&compact(self))
     }
+}
+
+/// Compact serialisation into a new string.
+fn compact(json: &Json) -> String {
+    let mut out = String::new();
+    json.write(&mut out, None, 0);
+    out
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
@@ -506,7 +506,7 @@ pub trait FromJson: Sized {
 
 /// Serialises to a compact string.
 pub fn to_string<T: ToJson + ?Sized>(v: &T) -> String {
-    v.to_json().to_string()
+    compact(&v.to_json())
 }
 
 /// Serialises to a pretty (2-space indented) string.

@@ -584,7 +584,7 @@ mod tests {
                 return Step::Done;
             }
             self.left -= 1;
-            if self.left % 2 == 0 {
+            if self.left.is_multiple_of(2) {
                 Step::Yield
             } else {
                 Step::Sleep(cx.now_ticks + self.period)

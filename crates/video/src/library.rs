@@ -208,7 +208,7 @@ fn expected_max_luma(content: &ContentKind) -> f64 {
                 f64::from(base.saturating_add(spread))
             }
         }
-        ContentKind::Bright { base, spread } => f64::from(base.saturating_add(spread).min(255)),
+        ContentKind::Bright { base, spread } => f64::from(base.saturating_add(spread)),
         ContentKind::Mid { base, spread, highlight_fraction } => {
             if highlight_fraction > 0.0 {
                 245.0

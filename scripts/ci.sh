@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: release build (offline) =="
 cargo build --release --offline --workspace
 
+echo "== lints: clippy on every target, warnings are errors (offline) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "== tier-1: tests (offline) =="
 cargo test -q --offline --workspace
 
@@ -131,7 +134,7 @@ cargo run -q --release --offline -p annolight-bench --bin reactor_scale -- --tes
 echo "== fleet SLO smoke (--test mode, double-run deterministic) =="
 cargo run -q --release --offline -p annolight-bench --bin serve_slo -- --test
 
-echo "== pipeline throughput smoke (--test mode, >=2x best-SIMD-row floor vs scalar LUT) =="
+echo "== pipeline throughput smoke (--test mode, >=2x best-SIMD-row floor vs scalar LUT, >=3x colour rows vs scalar) =="
 cargo run -q --release --offline -p annolight-bench --bin pipeline_throughput -- --test
 
 echo "== codec throughput smoke (--test mode, >=3x inline encode floor) =="

@@ -7,38 +7,58 @@
 //! re-encode through the encoder's recycled scratch — must perform
 //! **zero** heap allocations per frame once the session is warm.
 //!
-//! The test lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide: a single `#[test]` keeps the
-//! counters unpolluted by concurrent harness work.
+//! A second test holds warm `PlaybackClient::play` to a per-session
+//! allocation count: a stream twice as long must cost exactly as many
+//! allocation calls.
+//!
+//! The tests live in their own integration-test binary because a
+//! `#[global_allocator]` is process-wide; its counters are per thread
+//! (see [`CountingAlloc`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use annolight_codec::{Decoder, Encoder, EncoderConfig};
+use annolight_codec::{Decoder, EncodedStream, Encoder, EncoderConfig};
+use annolight_display::DeviceProfile;
 use annolight_imgproc::{CompensationLut, Frame, Histogram, Yuv420Frame};
+use annolight_power::SystemPowerModel;
+use annolight_stream::PlaybackClient;
 
-/// Counts every allocation routed through the global allocator.
+/// Counts every allocation routed through the global allocator, per
+/// thread: each test measures only the calls its own thread makes, so
+/// the tests in this binary (and the harness around them) can run
+/// concurrently without polluting each other's windows. Every loop
+/// measured here runs inline on the test's thread.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+    ALLOC_BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// `(allocation calls, bytes)` made by this thread so far.
+fn counts() -> (u64, u64) {
+    (ALLOC_CALLS.with(Cell::get), ALLOC_BYTES.with(Cell::get))
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -105,13 +125,12 @@ fn warm_transcode_and_compensate_allocates_zero_bytes_per_frame() {
         step(&mut yuv, &mut rgb, &mut recoded, &mut hist, &mut dec, &mut enc);
     }
 
-    let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let (calls_before, bytes_before) = counts();
     for _ in 0..MEASURED_FRAMES {
         step(&mut yuv, &mut rgb, &mut recoded, &mut hist, &mut dec, &mut enc);
     }
-    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls_before;
-    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before;
+    let calls = counts().0 - calls_before;
+    let bytes = counts().1 - bytes_before;
 
     assert_eq!(
         (calls, bytes),
@@ -131,4 +150,40 @@ fn warm_transcode_and_compensate_allocates_zero_bytes_per_frame() {
         .decode_all()
         .expect("output stream decodes");
     assert_eq!(decoded.len(), total);
+}
+
+/// Encodes `frames` source frames (`W`×`H`) into one stream.
+fn encoded(frames: usize) -> EncodedStream {
+    let config = EncoderConfig { width: W, height: H, fps: 12.0, ..EncoderConfig::default() };
+    let mut enc = Encoder::new(config).expect("valid encoder geometry");
+    for i in 0..frames {
+        enc.push_frame(&source_frame(i)).expect("frames match geometry");
+    }
+    enc.finish()
+}
+
+/// Allocation calls made by one `PlaybackClient::play` of `stream`.
+fn play_alloc_calls(client: &PlaybackClient, stream: &EncodedStream) -> u64 {
+    let before = counts().0;
+    let report = client.play(stream, None).expect("stream plays");
+    let calls = counts().0 - before;
+    assert_eq!(report.frames, stream.frame_count());
+    calls
+}
+
+#[test]
+fn warm_playback_allocates_nothing_per_frame() {
+    let client = PlaybackClient::new(DeviceProfile::ipaq_5555(), SystemPowerModel::ipaq_5555());
+    let short = encoded(MEASURED_FRAMES);
+    let long = encoded(2 * MEASURED_FRAMES);
+    // Warm-up: lazy process-wide state (kernel-tier detection) settles.
+    play_alloc_calls(&client, &short);
+    let short_calls = play_alloc_calls(&client, &short);
+    let long_calls = play_alloc_calls(&client, &long);
+    assert_eq!(
+        short_calls, long_calls,
+        "warm playback must not allocate per frame: {short_calls} allocation calls for \
+         {MEASURED_FRAMES} frames, {long_calls} for {} frames",
+        2 * MEASURED_FRAMES
+    );
 }

@@ -1,7 +1,7 @@
 //! Differential byte-identity suite for the SIMD + batched frame hot
 //! path (issue 10's conformance tier).
 //!
-//! Three guarantees, each checked against its serial/scalar oracle:
+//! Four guarantees, each checked against its serial/scalar oracle:
 //!
 //! * **kernel tiers** — `luma_histogram`, `CompensationLut` application
 //!   and the HEBS remap produce byte-identical frames, stats and
@@ -11,6 +11,9 @@
 //!   byte-identical to per-clip `Proxy::transcode` at every worker
 //!   count, and the batched core profiling/compensation dispatchers
 //!   match their per-job serial references;
+//! * **proxy transcode** — a whole `Proxy::transcode`, whose colour
+//!   conversions run at the process-wide tier, writes the same bytes
+//!   under every `ANNOLIGHT_KERNEL_TIER`;
 //! * **ragged geometries** — a seeded `check!` property extends the
 //!   fixed matrix to random frame sizes (including widths that do not
 //!   fill a single SIMD lane group), random compensation factors
@@ -203,6 +206,74 @@ fn transcode_batch_matches_per_clip_transcode() {
         }
         log_digest(&format!("transcode_batch workers={workers}"), d.finish());
     }
+}
+
+/// Set in the child processes of
+/// [`proxy_transcode_bytes_are_identical_under_every_tier`].
+const TIER_CHILD: &str = "ANNOLIGHT_TIER_CHILD";
+
+/// Digest of a proxy transcode of a *themovie* preview: decode, YUV→RGB,
+/// profile, plan, compensate, RGB→YUV and re-encode, all at the process's
+/// kernel tier.
+fn proxy_transcode_digest() -> u64 {
+    let clip = ClipLibrary::paper_clip("themovie")
+        .expect("library names are all known")
+        .preview(1.0);
+    let (w, h) = clip.dimensions();
+    let mut enc = Encoder::new(EncoderConfig {
+        width: w,
+        height: h,
+        fps: clip.fps(),
+        ..EncoderConfig::default()
+    })
+    .expect("library clip dimensions are codec-valid");
+    for f in clip.frames() {
+        enc.push_frame(&f).expect("frames match encoder geometry");
+    }
+    let input = enc.finish();
+    let out = Proxy::new(EncoderConfig::default())
+        .transcode(&input, &DeviceProfile::ipaq_5555(), QualityLevel::Q10, AnnotationMode::PerScene)
+        .expect("transcode succeeds");
+    let mut d = Digester::new();
+    d.write(input.as_bytes()).write(out.as_bytes());
+    d.finish()
+}
+
+/// A proxy transcode's bytes do not depend on the kernel tier. The tier
+/// is fixed once per process, so each tier runs in a child copy of this
+/// test binary pinned with `ANNOLIGHT_KERNEL_TIER`, which prints its
+/// digest for the parent to compare.
+#[test]
+fn proxy_transcode_bytes_are_identical_under_every_tier() {
+    let digest = format!("{:#018x}", proxy_transcode_digest());
+    if std::env::var_os(TIER_CHILD).is_some() {
+        println!("transcode-digest {digest}");
+        return;
+    }
+    for tier in TIERS {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args([
+                "proxy_transcode_bytes_are_identical_under_every_tier",
+                "--exact",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env("ANNOLIGHT_KERNEL_TIER", tier.name())
+            .env(TIER_CHILD, "1")
+            .env_remove("ANNOLIGHT_PIPELINE_LOG")
+            .output()
+            .expect("test binary re-runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "tier={tier:?} child failed:\n{stdout}");
+        // The harness prints the test's name on the same line.
+        let got = stdout
+            .split("transcode-digest ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("tier={tier:?} child printed no digest:\n{stdout}"));
+        assert_eq!(got, digest, "proxy transcode bytes differ at tier={tier:?}");
+    }
+    log_digest("proxy transcode every tier", u64::from_str_radix(&digest[2..], 16).expect("hex digest"));
 }
 
 annolight_support::check! {
